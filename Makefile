@@ -38,11 +38,14 @@ bench:
 	go run ./cmd/p4ce-bench -json -profile full -out BENCH_p4ce.json
 
 # Hot-path microbenchmarks with allocation counts: kernel event queue,
-# ticker re-arm, CPU work items, and the end-to-end consensus loop. The
-# allocs/op columns are the zero-allocation contract; the alloc gate in
-# scripts/check.sh enforces the end-to-end one.
+# ticker re-arm, CPU work items, the replica log consumer (accepting an
+# entry, and rejecting a stale slot whatever length it claims), and the
+# end-to-end consensus loop. The allocs/op columns are the
+# zero-allocation contract; the alloc gate in scripts/check.sh enforces
+# the end-to-end one.
 bench-micro:
 	go test ./internal/sim -run xxx -bench . -benchmem
+	go test ./internal/mu -run xxx -bench . -benchmem
 	go test ./internal/bench -run xxx -bench 'BenchmarkP4CE|BenchmarkMu' -benchmem
 
 # One-shot causal-trace demo: run the simulator with tracing on, print

@@ -27,10 +27,16 @@ func TestZeroAllocSteadyState(t *testing.T) {
 		name      string
 		metrics   bool
 		telemetry bool
+		// burst is how many proposals one op issues back to back. Past
+		// the 16-entry pipeline the adaptive batcher engages: it parks
+		// the rest, arms its age-flush timer and coalesces them into a
+		// FlagBatch entry when a commit frees a slot.
+		burst int
 	}{
-		{"metrics-on", true, false},
-		{"metrics-off", false, false},
-		{"telemetry-on", true, true},
+		{"metrics-on", true, false, 1},
+		{"metrics-off", false, false, 1},
+		{"telemetry-on", true, true, 1},
+		{"batcher", true, false, 24},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -54,11 +60,13 @@ func TestZeroAllocSteadyState(t *testing.T) {
 				}
 			}
 			oneOp := func() {
-				if err := leader.Propose(payload, done); err != nil {
-					failed = err
-					return
+				for i := 0; i < tc.burst; i++ {
+					if err := leader.Propose(payload, done); err != nil {
+						failed = err
+						return
+					}
+					outstanding++
 				}
-				outstanding++
 				for outstanding > 0 && failed == nil {
 					if !cl.Step() {
 						failed = &stalledError{stage: "alloc gate"}

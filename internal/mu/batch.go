@@ -123,16 +123,38 @@ func (n *Node) enqueueBatch(data []byte, done func(error)) {
 	}
 	if !n.batchArmed {
 		n.batchArmed = true
-		seq := n.batchSeq
-		n.k.Schedule(n.cfg.BatchMaxDelay, func() {
-			// A flush (any trigger) or a view change bumped the sequence:
-			// this timer's queue generation is gone.
-			if n.batchSeq != seq || n.role != RoleLeader {
-				return
-			}
-			n.flushBatch()
-		})
+		bt := n.getBatchTimer()
+		bt.seq = n.batchSeq
+		n.k.ScheduleArg(n.cfg.BatchMaxDelay, n.batchAgeFn, bt)
 	}
+}
+
+// batchTimer is the pooled argument of an armed age-flush timer: the
+// queue generation it was armed for.
+type batchTimer struct{ seq int }
+
+func (n *Node) getBatchTimer() *batchTimer {
+	if m := len(n.btFree); m > 0 {
+		bt := n.btFree[m-1]
+		n.btFree[m-1] = nil
+		n.btFree = n.btFree[:m-1]
+		return bt
+	}
+	return &batchTimer{}
+}
+
+// batchAgeFlush runs when an age-flush timer fires (bound once as
+// batchAgeFn, so arming the timer allocates nothing).
+func (n *Node) batchAgeFlush(a any) {
+	bt := a.(*batchTimer)
+	seq := bt.seq
+	n.btFree = append(n.btFree, bt)
+	// A flush (any trigger) or a view change bumped the sequence: this
+	// timer's queue generation is gone.
+	if n.batchSeq != seq || n.role != RoleLeader {
+		return
+	}
+	n.flushBatch()
 }
 
 // maybeFlushBatch flushes the queue when the pipeline has a free slot

@@ -23,6 +23,15 @@
 // hit, or the oldest op has waited long enough. Appliers walk FlagBatch
 // payloads with BatchIter.
 //
+// # Consuming the log
+//
+// Replicas follow the log with a Consumer. Poll inspects only the
+// expected slot, and the CRC runs only on a candidate: the header at
+// the read offset must carry the next index and the chained PrevTerm
+// before its payload is checksummed. Once the ring has wrapped, that
+// slot usually holds a stale header from an earlier lap, and rejecting
+// it costs the same whatever length it claims.
+//
 // # Buffer ownership
 //
 // Propose copies the caller's bytes before returning, so callers reuse

@@ -703,6 +703,11 @@ func (n *Node) fallback() {
 	}
 	sortUint64s(idxs)
 	for _, idx := range idxs {
+		if n.role != RoleLeader {
+			// A re-drive found no usable transport and stepped down,
+			// which already failed and flushed every proposal.
+			return
+		}
 		n.dispatch(n.proposals[idx])
 	}
 }

@@ -118,6 +118,19 @@ func DecodeEntryAt(buf []byte, off int) (e Entry, next int, wrapped, ok bool) {
 // bytes stay untouched. The consumer hot path uses it and copies into a
 // pooled buffer itself.
 func decodeEntryView(buf []byte, off int) (e Entry, next int, wrapped, ok bool) {
+	e, next, wrapped, ok = parseEntryHeader(buf, off)
+	if !ok || !entryCRCOK(buf, off, next) {
+		return Entry{}, 0, wrapped, false
+	}
+	return e, next, false, true
+}
+
+// parseEntryHeader is decodeEntryView without the CRC check: it reads
+// the fixed header at off and reports ok when the entry's claimed
+// extent fits the buffer, without touching the payload. The caller
+// decides whether the entry is worth a CRC (entryCRCOK) before trusting
+// any of it.
+func parseEntryHeader(buf []byte, off int) (e Entry, next int, wrapped, ok bool) {
 	if len(buf)-off < 4 {
 		return Entry{}, 0, true, false // implicit wrap: no room for a marker
 	}
@@ -134,11 +147,6 @@ func decodeEntryView(buf []byte, off int) (e Entry, next int, wrapped, ok bool) 
 	if int(length) > len(buf) || off+total > len(buf) {
 		return Entry{}, 0, false, false
 	}
-	end := off + entryHeaderBytes + int(length)
-	want := binary.BigEndian.Uint32(buf[end : end+4])
-	if crc32.ChecksumIEEE(buf[off:end]) != want {
-		return Entry{}, 0, false, false
-	}
 	e = Entry{
 		Term:        binary.BigEndian.Uint32(buf[off+4 : off+8]),
 		PrevTerm:    binary.BigEndian.Uint32(buf[off+8 : off+12]),
@@ -147,9 +155,17 @@ func decodeEntryView(buf []byte, off int) (e Entry, next int, wrapped, ok bool) 
 		Flags:       buf[off+28],
 	}
 	if length > 0 {
-		e.Data = buf[off+entryHeaderBytes : end]
+		e.Data = buf[off+entryHeaderBytes : off+entryHeaderBytes+int(length)]
 	}
 	return e, off + total, false, true
+}
+
+// entryCRCOK verifies the CRC of the entry spanning buf[off:next], as
+// returned by parseEntryHeader. This is the only step whose cost grows
+// with the entry's claimed length.
+func entryCRCOK(buf []byte, off, next int) bool {
+	end := next - entryTrailerBytes
+	return crc32.ChecksumIEEE(buf[off:end]) == binary.BigEndian.Uint32(buf[end:next])
 }
 
 // ErrLogFull reports an entry that cannot fit in the ring at all.
@@ -316,6 +332,16 @@ func (c *Consumer) ReadOffset() int { return c.readOff }
 
 // Poll scans forward from the read offset, delivering every complete
 // entry. It returns how many entries were consumed.
+//
+// Poll inspects only the expected slot, and the CRC runs only on a
+// candidate: the header must carry exactly the next index and the term
+// this consumer last consumed before a single payload byte is
+// checksummed. After the ring wraps, the slot at the read offset
+// usually holds a stale header from an earlier lap, misaligned by
+// earlier entries, whose length field can claim megabytes; checking
+// the header first rejects it in constant time. Every rejection exits
+// without touching consumer state, so the order of the checks cannot
+// change which entries are accepted.
 func (c *Consumer) Poll() int {
 	n := 0
 	for {
@@ -326,7 +352,7 @@ func (c *Consumer) Poll() int {
 			}
 			continue
 		}
-		e, next, wrapped, ok := decodeEntryView(c.buf, c.readOff)
+		e, next, wrapped, ok := parseEntryHeader(c.buf, c.readOff)
 		if wrapped {
 			if c.readOff == 0 {
 				return n // empty ring: stay put
@@ -348,6 +374,10 @@ func (c *Consumer) Poll() int {
 			// entry was expected. Refuse it; the live leader's repair (a
 			// rewind marker plus its own suffix) or its next append
 			// overwrites these bytes.
+			return n
+		}
+		if !entryCRCOK(c.buf, c.readOff, next) {
+			// The expected entry, still being written (or torn).
 			return n
 		}
 		entryOff := c.readOff

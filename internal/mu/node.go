@@ -218,12 +218,14 @@ type Node struct {
 	batchArmed bool
 
 	// Hot-path free lists and the callbacks bound once for them (see
-	// dispatch / postStep / ackStep).
-	propFree []*proposal
-	ctxFree  []*dispatchCtx
-	evtFree  []*ackEvt
-	postFn   func(any)
-	ackAnyFn func(any)
+	// dispatch / postStep / ackStep / batchAgeFlush).
+	propFree   []*proposal
+	ctxFree    []*dispatchCtx
+	evtFree    []*ackEvt
+	btFree     []*batchTimer
+	postFn     func(any)
+	ackAnyFn   func(any)
+	batchAgeFn func(any)
 
 	// Inbound write queue pairs by group owner, for fencing.
 	inbound map[simnet.Addr][]*rnic.QP
@@ -388,6 +390,7 @@ func NewNode(cfg Config, self Peer, peers []Peer, nic *rnic.NIC) *Node {
 	n.logMR.SetOnWrite(func(int, int) { n.consumeInbound() })
 	n.postFn = n.postStep
 	n.ackAnyFn = n.ackStep
+	n.batchAgeFn = n.batchAgeFlush
 	for _, p := range peers {
 		n.peerStates[p.ID] = &peerState{peer: p}
 	}

@@ -77,3 +77,29 @@ func BenchmarkEventThroughput(b *testing.B) {
 	k.Schedule(1, fn)
 	k.Run()
 }
+
+// BenchmarkEventThroughputDeep is BenchmarkEventThroughput with 1024
+// chains in flight at scattered delays, so every pop sifts through a
+// queue about ten binary levels deep — the shape a busy cluster gives
+// the kernel (timers, CPU work items and frames in flight on every
+// device). It is the benchmark the queue's arity was chosen from.
+func BenchmarkEventThroughputDeep(b *testing.B) {
+	const chains = 1024
+	k := NewKernel(1)
+	n := 0
+	var x uint32 = 1
+	var fn func()
+	fn = func() {
+		n++
+		if n < b.N {
+			x = x*1664525 + 1013904223 // LCG: deterministic scattered delays
+			k.Schedule(Time(1+x>>22), fn)
+		}
+	}
+	for i := 0; i < chains; i++ {
+		k.Schedule(Time(i), fn)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	k.Run()
+}

@@ -13,11 +13,27 @@
 //
 // # Determinism
 //
-// Events execute strictly by (time, seq) with FIFO tie-breaking, and
+// Events execute strictly by (time, seq) with FIFO tie-breaking (by
+// (time, domain, seq) in a partitioned Group), and
 // the only random source is the kernel's seeded one, so identical
 // builds and seeds replay identically; Processed() is the fingerprint
 // tests compare. The one rule components must follow: never iterate a
 // Go map while emitting events — sort the keys first.
+//
+// # Event queue
+//
+// Each scheduler keeps its pending events in a 4-ary min-heap of slots
+// that hold the (time, domain, seq) key inline next to the event
+// record, so sifting never dereferences a record or calls through an
+// interface. The key is a strict total order, so the pop sequence is a
+// function of the keys alone: heap shape, push order and compaction of
+// canceled timers cannot change it. Records carry no heap position; a
+// popped record is released at once and its generation bumped, which
+// is all a Timer handle needs to tell "still queued" from "gone".
+//
+// The same O(1)-per-event rule holds above the kernel. The replica log
+// consumer in package mu follows it too: poll inspects only the
+// expected slot, and the CRC runs only on a candidate.
 //
 // # Ownership and pooling
 //

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -188,40 +187,26 @@ func (g *Group) Stop() { g.stopped.Store(true) }
 // identical. It reports whether an event was executed.
 func (g *Group) Step() bool {
 	var best *sched
-	var bev *event
+	var bq *qent
 	for _, sc := range g.parts {
-		ev := sc.head()
-		if ev == nil {
+		q := sc.head()
+		if q == nil {
 			continue
 		}
-		if bev == nil || ev.at < bev.at ||
-			(ev.at == bev.at && (ev.dom < bev.dom || (ev.dom == bev.dom && ev.seq < bev.seq))) {
-			best, bev = sc, ev
+		if bq == nil || q.before(bq) {
+			best, bq = sc, q
 		}
 	}
 	if best == nil {
 		return false
 	}
-	at := bev.at
+	at := bq.at
 	best.step()
 	g.drainFrom(best)
 	if at > g.now {
 		g.now = at
 	}
 	return true
-}
-
-// head returns the next non-canceled event without popping it.
-func (sc *sched) head() *event {
-	for len(sc.events) > 0 {
-		if !sc.events[0].canceled {
-			return sc.events[0]
-		}
-		ev := heap.Pop(&sc.events).(*event)
-		sc.ncanceled--
-		sc.release(ev)
-	}
-	return nil
 }
 
 // Run executes events until every queue drains or Stop is called.
@@ -390,9 +375,9 @@ func (g *Group) drainFrom(src *sched) {
 		for i := range box {
 			x := &box[i]
 			ev := d.alloc()
-			ev.at, ev.dom, ev.seq, ev.k = x.at, x.dom, x.seq, x.k
+			ev.k = x.k
 			ev.fn, ev.afn, ev.arg, ev.bfn, ev.buf = x.fn, x.afn, x.arg, x.bfn, x.buf
-			heap.Push(&d.events, ev)
+			d.events.push(qent{at: x.at, seq: x.seq, dom: x.dom, ev: ev})
 			d.live++
 			*x = xev{}
 		}

@@ -1,7 +1,6 @@
 package sim
 
 import (
-	"container/heap"
 	"fmt"
 	"math/rand"
 
@@ -39,14 +38,12 @@ func (t Time) String() string {
 // Seconds returns the time as a floating-point number of seconds.
 func (t Time) Seconds() float64 { return float64(t) / float64(Second) }
 
-// event is a single scheduled callback. Events are pooled: once popped
+// event is a single scheduled callback. Its ordering key lives inline
+// in the queue slot (qent), not here. Events are pooled: once popped
 // (executed or canceled) the record goes back on the scheduler's free
 // list and its gen counter is bumped, which invalidates any Timer handle
 // still pointing at it.
 type event struct {
-	at  Time
-	dom int32  // scheduling domain; ties at the same instant break by (dom, seq)
-	seq uint64 // per-domain tie-breaker: FIFO among same-domain events at one instant
 	gen uint64 // recycle generation, guards stale Timer handles
 	// Exactly one of fn / afn / bfn is set. afn runs with arg, letting
 	// hot paths reuse a persistent callback instead of allocating a
@@ -57,52 +54,116 @@ type event struct {
 	arg      any
 	bfn      func(any, []byte)
 	buf      []byte
-	k        *Kernel // run domain: its clock advances to at when the event fires
+	k        *Kernel // run domain: its clock advances to the slot's at when the event fires
 	canceled bool
-	index    int // position in the heap, -1 once popped
 }
 
-// eventHeap orders events by (at, dom, seq). For a standalone kernel
+// qent is one event-queue slot: the event's (at, dom, seq) key held
+// inline next to the record pointer, so sifting compares keys without
+// dereferencing a record.
+type qent struct {
+	at  Time
+	seq uint64 // per-domain tie-breaker: FIFO among same-domain events at one instant
+	dom int32  // scheduling domain; ties at the same instant break by (dom, seq)
+	ev  *event
+}
+
+// before orders queue slots by (at, dom, seq). For a standalone kernel
 // every event carries dom 0, so the order degenerates to the classic
 // (at, seq) FIFO; in a partitioned Group the triple is a strict total
 // order over all events of the simulation that depends only on where an
 // event was *scheduled* (domain), never on how domains are packed into
 // partitions — which is what makes same-seed runs bit-identical across
 // partition counts.
-type eventHeap []*event
-
-func (h eventHeap) Len() int { return len(h) }
-
-func (h eventHeap) Less(i, j int) bool {
-	if h[i].at != h[j].at {
-		return h[i].at < h[j].at
+func (a *qent) before(b *qent) bool {
+	if a.at != b.at {
+		return a.at < b.at
 	}
-	if h[i].dom != h[j].dom {
-		return h[i].dom < h[j].dom
+	if a.dom != b.dom {
+		return a.dom < b.dom
 	}
-	return h[i].seq < h[j].seq
+	return a.seq < b.seq
 }
 
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
+// queueArity is the fan-out of the event queue's implicit d-ary heap.
+// Four children per node halve the depth of a binary heap, and the
+// children of one node sit in one 128-byte run of slots. On
+// BenchmarkEventThroughput and BenchmarkEventThroughputDeep the two
+// arities measure within noise of each other, with 4 ahead in most
+// alternated runs.
+const queueArity = 4
+
+// eventQueue is a d-ary min-heap of queue slots. Because before is a
+// strict total order, the pop sequence is a pure function of the set of
+// keys pushed, whatever the push order or heap shape.
+type eventQueue []qent
+
+// push inserts x.
+func (q *eventQueue) push(x qent) {
+	h := append(*q, x)
+	i := len(h) - 1
+	for i > 0 {
+		p := (i - 1) / queueArity
+		if !x.before(&h[p]) {
+			break
+		}
+		h[i] = h[p]
+		i = p
+	}
+	h[i] = x
+	*q = h
 }
 
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
-	*h = append(*h, ev)
+// pop removes and returns the minimum slot. The queue must be non-empty.
+func (q *eventQueue) pop() qent {
+	h := *q
+	top := h[0]
+	n := len(h) - 1
+	last := h[n]
+	h[n] = qent{}
+	h = h[:n]
+	if n > 0 {
+		h.siftDown(0, last)
+	}
+	*q = h
+	return top
 }
 
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	ev.index = -1
-	*h = old[:n-1]
-	return ev
+// siftDown places x at or below slot i, moving smaller children up.
+func (h eventQueue) siftDown(i int, x qent) {
+	n := len(h)
+	for {
+		c := queueArity*i + 1
+		if c >= n {
+			break
+		}
+		m := c
+		end := c + queueArity
+		if end > n {
+			end = n
+		}
+		for j := c + 1; j < end; j++ {
+			if h[j].before(&h[m]) {
+				m = j
+			}
+		}
+		if !h[m].before(&x) {
+			break
+		}
+		h[i] = h[m]
+		i = m
+	}
+	h[i] = x
+}
+
+// heapify restores the heap property over arbitrary contents.
+func (h eventQueue) heapify() {
+	if len(h) < 2 {
+		return
+	}
+	for i := (len(h) - 2) / queueArity; i >= 0; i-- {
+		h.siftDown(i, h[i])
+	}
 }
 
 // compactThreshold is the minimum heap size before cancel-compaction is
@@ -116,7 +177,7 @@ const compactThreshold = 64
 // during a run (the coordinator touches it only between windows, after
 // a barrier, which establishes the necessary happens-before edges).
 type sched struct {
-	events    eventHeap
+	events    eventQueue
 	free      []*event // recycled event records
 	live      int      // scheduled and not canceled
 	ncanceled int      // canceled events still resident in the heap
@@ -168,7 +229,6 @@ func (sc *sched) release(ev *event) {
 	ev.buf = nil
 	ev.k = nil
 	ev.canceled = false
-	ev.index = -1
 	sc.free = append(sc.free, ev)
 }
 
@@ -177,14 +237,15 @@ func (sc *sched) release(ev *event) {
 // executed.
 func (sc *sched) step() bool {
 	for len(sc.events) > 0 {
-		ev := heap.Pop(&sc.events).(*event)
+		top := sc.events.pop()
+		ev := top.ev
 		if ev.canceled {
 			sc.ncanceled--
 			sc.release(ev)
 			continue
 		}
 		sc.live--
-		ev.k.now = ev.at
+		ev.k.now = top.at
 		sc.processed++
 		// Copy the callback out and recycle the record before invoking
 		// it, so the callback's own scheduling can reuse it.
@@ -205,15 +266,24 @@ func (sc *sched) step() bool {
 
 // peek returns the timestamp of the next non-canceled event.
 func (sc *sched) peek() (Time, bool) {
-	for len(sc.events) > 0 {
-		if !sc.events[0].canceled {
-			return sc.events[0].at, true
-		}
-		ev := heap.Pop(&sc.events).(*event)
-		sc.ncanceled--
-		sc.release(ev)
+	if q := sc.head(); q != nil {
+		return q.at, true
 	}
 	return 0, false
+}
+
+// head returns the queue slot of the next non-canceled event without
+// popping it, discarding canceled slots on the way. The pointer is
+// valid until the queue next changes.
+func (sc *sched) head() *qent {
+	for len(sc.events) > 0 {
+		if !sc.events[0].ev.canceled {
+			return &sc.events[0]
+		}
+		sc.ncanceled--
+		sc.release(sc.events.pop().ev)
+	}
+	return nil
 }
 
 // compact drops canceled events once they outnumber the live ones, so a
@@ -224,20 +294,18 @@ func (sc *sched) peek() (Time, bool) {
 // keys — so compaction is invisible to a seeded run.
 func (sc *sched) compact() {
 	kept := sc.events[:0]
-	for _, ev := range sc.events {
-		if ev.canceled {
-			sc.release(ev)
+	for _, q := range sc.events {
+		if q.ev.canceled {
+			sc.release(q.ev)
 			continue
 		}
-		kept = append(kept, ev)
+		kept = append(kept, q)
 	}
 	// Clear the tail so dropped records do not linger in the backing array.
-	for i := len(kept); i < len(sc.events); i++ {
-		sc.events[i] = nil
-	}
+	clear(sc.events[len(kept):])
 	sc.events = kept
 	sc.ncanceled = 0
-	heap.Init(&sc.events)
+	sc.events.heapify()
 }
 
 // Kernel is a discrete-event simulation driver and, in a partitioned
@@ -386,12 +454,9 @@ func (k *Kernel) push(t Time) *event {
 	}
 	sc := k.sc
 	ev := sc.alloc()
-	ev.at = t
-	ev.dom = k.dom
-	ev.seq = k.seq
 	ev.k = k
+	sc.events.push(qent{at: t, seq: k.seq, dom: k.dom, ev: ev})
 	k.seq++
-	heap.Push(&sc.events, ev)
 	sc.live++
 	return ev
 }
@@ -526,8 +591,10 @@ func (k *Kernel) Stop() {
 // Timer is a handle to a scheduled event. It is a plain value (copying
 // it is fine); the zero Timer is inert: Stop reports false and Active
 // reports false. Handles do not pin the event record — once the event
-// fires or is compacted away the record is recycled and the handle
-// becomes inert automatically. A Timer must be used from the partition
+// fires or is compacted away the record is recycled, its gen moves on,
+// and the handle becomes inert automatically: every record leaving the
+// queue is released at once, so a matching gen alone means "still
+// queued". A Timer must be used from the partition
 // that scheduled it.
 type Timer struct {
 	sc  *sched
@@ -538,7 +605,7 @@ type Timer struct {
 // Stop cancels the timer. It reports whether the call prevented the event
 // from firing (false if it already ran or was already stopped).
 func (t Timer) Stop() bool {
-	if t.ev == nil || t.ev.gen != t.gen || t.ev.canceled || t.ev.index == -1 {
+	if t.ev == nil || t.ev.gen != t.gen || t.ev.canceled {
 		return false
 	}
 	t.ev.canceled = true
@@ -552,7 +619,7 @@ func (t Timer) Stop() bool {
 
 // Active reports whether the timer is still pending.
 func (t Timer) Active() bool {
-	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled && t.ev.index != -1
+	return t.ev != nil && t.ev.gen == t.gen && !t.ev.canceled
 }
 
 // Ticker invokes a callback at a fixed period until stopped. The tick

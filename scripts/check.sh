@@ -31,6 +31,12 @@ go build ./examples/...
 go run ./examples/quickstart >/dev/null
 go run ./examples/sharded >/dev/null
 
+echo "== log consumer fuzz =="
+# A short differential run of the replica log consumer against its
+# CRC-first reference over arbitrary ring bytes, starting from the
+# committed corpus in internal/mu/testdata/fuzz.
+go test ./internal/mu -run xxx -fuzz FuzzConsumerPoll -fuzztime 10s
+
 echo "== allocs/op gate =="
 # The zero-allocation contract: one committed op on the steady-state
 # P4CE path performs no heap allocations — metrics on or off, and with
